@@ -49,7 +49,7 @@ func main() {
 		cores      = flag.Int("cores", 0, "worker cores (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "workload RNG seed")
 		submitters = flag.Int("submitters", 0, "concurrent submitter goroutines (0 = hand-batched epochs)")
-		submitLag  = flag.Duration("submit-max-delay", 2*time.Millisecond, "batch former max-latency deadline (with -submitters)")
+		submitLag  = flag.Duration("submit-max-delay", 2*time.Millisecond, "with -submitters: longest a batch forms while an epoch is in flight (an idle engine takes a batch at once)")
 		readLat    = flag.Duration("nvmm-read-latency", 60*time.Nanosecond, "simulated NVMM read latency per line")
 		writeLat   = flag.Duration("nvmm-write-latency", 250*time.Nanosecond, "simulated NVMM write latency per line")
 		obsAddr    = flag.String("obs-addr", "", "serve /debug/nvcaracal/{stats,trace,attrib} on this address (e.g. :8077); also enables instrumentation")

@@ -104,7 +104,9 @@ func main() {
 	fmt.Println(" Aria pays for not declaring write sets up front)")
 
 	// Crash mid-flight and recover: Aria epochs replay deterministically
-	// from the same input log.
+	// from the same input log. The two-transaction epoch writes back 7
+	// lines; the fail-point fires at the 5th, after the input log is
+	// durable and before the checkpoint.
 	batch2 := []*nvcaracal.AriaTxn{ariaRMW(0, 'Z'), ariaRMW(1, 'Z')}
 	func() {
 		defer func() {
@@ -112,7 +114,7 @@ func main() {
 				panic(r)
 			}
 		}()
-		dev.SetFailAfter(20)
+		dev.SetFailAfter(5)
 		db.RunEpochAria(batch2)
 	}()
 	dev.Crash(nvcaracal.CrashStrict, 7)

@@ -5,9 +5,10 @@
 //
 // A Submitter sits between concurrent clients and the single-threaded epoch
 // pipeline: goroutines call Submit and get a future; a batch former closes
-// an epoch once MaxBatch transactions accumulate or MaxDelay elapses, runs
-// it through the engine, and resolves every future once the epoch is
-// durable. Clients never coordinate with each other, yet every transaction
+// an epoch as soon as the engine is idle, or, while an epoch is running,
+// once that epoch completes, MaxBatch transactions accumulate or MaxDelay
+// elapses. It runs each batch through the engine and resolves every future
+// once the epoch is durable. Clients never coordinate with each other, yet every transaction
 // still executes in a deterministic, logged epoch.
 package main
 
@@ -79,7 +80,7 @@ func main() {
 	}
 
 	s := nvcaracal.NewSubmitter(db, nvcaracal.SubmitterConfig{
-		MaxBatch: 64,                     // close an epoch at 64 txns...
+		MaxBatch: 64,                     // behind a running epoch, close at 64 txns...
 		MaxDelay: 500 * time.Microsecond, // ...or after 500µs, whichever first
 	})
 

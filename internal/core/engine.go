@@ -41,9 +41,11 @@ type DB struct {
 	// counter is atomic.
 	epoch atomic.Uint64
 
-	// counters mirrors the persistent counter slots in DRAM; flushed at
-	// every checkpoint (TPC-C order ids, §6.2.3).
+	// counters mirrors the persistent counter slots in DRAM; checkpointed
+	// at every epoch (TPC-C order ids, §6.2.3) into ctrSlots, which write
+	// back only the parity slots whose value changed.
 	counters []atomic.Uint64
+	ctrSlots []*pmem.Counter
 
 	// scratch bump offsets per core for NVMM-resident transient values
 	// (ModeHybrid / ModeAllNVMM), reset every epoch.
@@ -157,6 +159,10 @@ func newDB(dev *nvm.Device, opts Options) *DB {
 		deferredIndexDeletes: make([][]index.Key, c),
 
 		obs: opts.Obs,
+	}
+	db.ctrSlots = make([]*pmem.Counter, len(db.counters))
+	for i := range db.ctrSlots {
+		db.ctrSlots[i] = pmem.NewCounter(dev, opts.Layout, int64(i))
 	}
 	for i := 0; i < c; i++ {
 		db.rowPools[i] = pmem.RowPool(dev, opts.Layout, i)
@@ -400,8 +406,9 @@ func (db *DB) initFence(epoch uint64, logged, gcPending bool) {
 	}
 }
 
-// checkpointEpoch persists the epoch: counters, allocator control offsets,
-// and the index-journal block are staged synchronously; then one fence
+// checkpointEpoch persists the epoch: counters, allocator control offsets
+// (each only when its parity slot does not already hold the value), and
+// the index-journal block are staged synchronously; then one fence
 // covering everything, the epoch record (which carries its own trailing
 // fence), and the allocator checkpoint release commit the epoch. With
 // Options.AsyncPersist the commit tail runs on a background goroutine and
@@ -419,11 +426,8 @@ func (db *DB) checkpointEpoch(epoch uint64, spans []*obs.TxnSpan) {
 		db.checkpointEpochPipelined(epoch, spans)
 		return
 	}
-	for i := range db.counters {
-		v := db.counters[i].Load()
-		c := pmem.NewCounter(db.dev, db.layout, int64(i))
-		c.Store(v, epoch)
-		c.Flush()
+	for i, c := range db.ctrSlots {
+		c.Checkpoint(db.counters[i].Load(), epoch)
 	}
 	for c := 0; c < db.opts.Cores; c++ {
 		db.rowPools[c].Checkpoint(epoch)
@@ -590,9 +594,7 @@ func (db *DB) commitEpoch(epoch uint64, tokens []chan struct{}, counterVals []ui
 		}(c)
 	}
 	for i, v := range counterVals {
-		c := pmem.NewCounter(db.dev, db.layout, int64(i))
-		c.Store(v, epoch)
-		c.Flush()
+		db.ctrSlots[i].Checkpoint(v, epoch)
 	}
 	if idxAsync {
 		// Fits was checked at handoff and nothing else appends, so this

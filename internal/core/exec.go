@@ -254,10 +254,12 @@ func (db *DB) persistFinal(core int, rs *rowState, sid uint64, data []byte) {
 		if timed {
 			t0 = time.Now()
 		}
+		// A store only: writeFinal below flushes the same descriptor line
+		// before the epoch fence.
 		if minor {
-			r.retag(obs.CauseMinorGC).writeVersion(1, v2)
+			r.retag(obs.CauseMinorGC).storeVersion(1, v2)
 		} else {
-			r.writeVersion(1, v2)
+			r.storeVersion(1, v2)
 		}
 		if timed {
 			db.obs.Span(core, SIDEpoch(sid), obs.PhaseMinorGC, t0)

@@ -106,7 +106,7 @@ func Recover(dev *nvm.Device, opts Options) (*DB, *RecoveryReport, error) {
 	// before its epoch record committed are ignored and replay re-applies
 	// every increment exactly once.
 	for i := range db.counters {
-		db.counters[i].Store(pmem.NewCounter(dev, db.layout, int64(i)).Load(ckpt))
+		db.counters[i].Store(db.ctrSlots[i].Load(ckpt))
 	}
 	rep.CountersRestored = len(db.counters)
 

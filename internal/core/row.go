@@ -157,17 +157,25 @@ func versionFields(off int64, sid, ptr, size []byte) []nvm.FieldWrite {
 // §4.5: the SID is stored before the pointer, so a partial write-back is
 // detectable by comparing SIDs. The line is flushed afterwards; the fence
 // comes from the epoch boundary (or replay makes the outcome irrelevant).
-// The three field stores and the flush go through one vectored device call;
-// WriteFields preserves field store order, so the SID-first protocol holds.
+// The three field stores go through one vectored device call; WriteFields
+// preserves field store order, so the SID-first protocol holds.
 func (r rowRef) writeVersion(which int, v version) {
+	r.storeVersion(which, v)
+	r.dev.Flush(r.off, rowInline)
+}
+
+// storeVersion is writeVersion without the flush, for a caller that
+// flushes the descriptor line itself before the same fence: persistFinal's
+// v2→v1 copy, which writeFinal's flush of the line covers. A second
+// write-back of the line with no fence in between would order nothing.
+func (r rowRef) storeVersion(which int, v version) {
 	off := r.verOff(which)
 	var sid, ptr [8]byte
 	var size [4]byte
 	putU64(sid[:], v.sid)
 	putU64(ptr[:], v.ptr)
 	putU32(size[:], v.size)
-	r.dev.WriteFields(versionFields(off, sid[:], ptr[:], size[:]),
-		[]nvm.Range{{Off: r.off, N: rowInline}})
+	r.dev.WriteFields(versionFields(off, sid[:], ptr[:], size[:]), nil)
 }
 
 // resetVersion nulls a descriptor, SID first (repair case 2 relies on

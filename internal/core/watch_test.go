@@ -35,6 +35,7 @@ func TestWatchdogCommitterStallIntegration(t *testing.T) {
 	// Arm the stall: every commit fence now busy-waits, so the background
 	// committer of the next epoch visibly falls behind.
 	const stall = time.Second
+	stallsBefore := dev.CommitStalls()
 	dev.SetCommitStall(stall)
 	start := time.Now()
 	mustRun(t, db, []*Txn{mkSet(2, []byte("v2"))})
@@ -61,7 +62,16 @@ func TestWatchdogCommitterStallIntegration(t *testing.T) {
 		t.Fatalf("incidents = %+v, want one committer-stall", incs)
 	}
 
-	// Let the committer drain and confirm nothing was lost to the stall.
+	// Nothing orders the background committer's checkpoint fence before
+	// this point: a committer scheduled late would read a cleared knob and
+	// never stall. Wait until its fence is spinning on the stall, then let
+	// the committer drain and confirm nothing was lost to the stall.
+	for deadline := time.Now().Add(10 * time.Second); dev.CommitStalls() == stallsBefore; {
+		if time.Now().After(deadline) {
+			t.Fatal("the committer's checkpoint fence never started stalling")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	dev.SetCommitStall(0)
 	db.WaitDurable()
 	if elapsed := time.Since(start); elapsed < stall {

@@ -3,6 +3,9 @@ package nvm
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"nvcaracal/internal/obs"
 )
 
 // catchCrash runs f and reports whether it panicked with ErrInjectedCrash.
@@ -157,7 +160,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dev.WriteAt(bytes.Repeat([]byte{0x11}, LineSize), 0)
 	dev.Persist(0, LineSize)
 	dev.WriteAt(bytes.Repeat([]byte{0x22}, LineSize), LineSize)
-	dev.Flush(LineSize, LineSize) // staged, unfenced
+	dev.Flush(LineSize, LineSize)                                 // staged, unfenced
 	dev.WriteAt(bytes.Repeat([]byte{0x33}, LineSize), 2*LineSize) // dirty
 
 	snap := dev.Snapshot()
@@ -275,5 +278,27 @@ func TestFenceMarks(t *testing.T) {
 	dev.TraceFences(true)
 	if got := dev.FenceMarks(); len(got) != 0 {
 		t.Fatalf("marks after re-enabling = %v, want empty", got)
+	}
+}
+
+// TestCommitStallsCountsOnlyStalledCheckpointFences pins the commit-stall
+// observability: only checkpoint (persist-final) fences that ran with the
+// knob armed count, so a waiter can tell the stall is in effect.
+func TestCommitStallsCountsOnlyStalledCheckpointFences(t *testing.T) {
+	d := New(4 * LineSize)
+	d.Tag(obs.CausePersistFinal).Fence()
+	if n := d.CommitStalls(); n != 0 {
+		t.Fatalf("unarmed fence counted: %d", n)
+	}
+	d.SetCommitStall(time.Microsecond)
+	d.Tag(obs.CauseWALAppend).Fence()
+	if n := d.CommitStalls(); n != 0 {
+		t.Fatalf("non-checkpoint fence counted: %d", n)
+	}
+	d.Tag(obs.CausePersistFinal).Fence()
+	d.SetCommitStall(0)
+	d.Tag(obs.CausePersistFinal).Fence()
+	if n := d.CommitStalls(); n != 1 {
+		t.Fatalf("CommitStalls = %d, want 1", n)
 	}
 }

@@ -104,10 +104,10 @@ var ErrInjectedCrash = errors.New("nvm: injected crash")
 // Stats holds cumulative access counters for a device. All counts are in
 // units of line accesses except the byte totals.
 type Stats struct {
-	LineReads    int64 // lines touched by loads
-	LineWrites   int64 // lines touched by stores
-	BytesRead    int64
-	BytesWritten int64
+	LineReads     int64 // lines touched by loads
+	LineWrites    int64 // lines touched by stores
+	BytesRead     int64
+	BytesWritten  int64
 	Flushes       int64 // line write-backs issued (dirty lines snapshotted)
 	FlushesElided int64 // lines a Flush visited but skipped because already clean
 	Fences        int64 // Fence calls
@@ -259,6 +259,10 @@ type Device struct {
 	// touching any other fence. A stall fail-point for the anomaly watchdog:
 	// the committer slows, durable lag persists, and nothing crashes.
 	commitStall atomic.Int64
+	// commitStalls counts the fences that read a positive commitStall and
+	// spun on it, so a test can tell the stall took effect before it
+	// clears the knob.
+	commitStalls atomic.Int64
 
 	// Chaos eviction state (see WithChaosEviction).
 	chaosDenom int
@@ -841,6 +845,7 @@ func (d *Device) fence(c obs.Cause) {
 	spin(d.fenceLatency)
 	if c == obs.CausePersistFinal {
 		if stall := d.commitStall.Load(); stall > 0 {
+			d.commitStalls.Add(1)
 			spin(time.Duration(stall))
 		}
 	}
@@ -949,6 +954,12 @@ func (d *Device) SetFailAfter(n int64) { d.failAfter.Store(n) }
 // durable epoch lags and the anomaly watchdog's committer-stall and
 // durable-lag detectors can be exercised deterministically. Zero disables.
 func (d *Device) SetCommitStall(stall time.Duration) { d.commitStall.Store(int64(stall)) }
+
+// CommitStalls returns how many fences have spun on the commit stall so
+// far. A fence counts as soon as it starts its stall, so a count above the
+// one seen before arming means the stall is in effect and clearing the
+// knob can no longer shorten that fence.
+func (d *Device) CommitStalls() int64 { return d.commitStalls.Load() }
 
 // Stats returns a snapshot of the cumulative access counters, folding the
 // striped cells.

@@ -497,9 +497,15 @@ const counterStride = 16
 // the checkpoint flushes counters before the epoch record commits, so a
 // crash in between can leave post-epoch values durable while the epoch
 // itself is replayed, applying every counter increment twice.
+//
+// The parity slots also make unchanged counters free: Checkpoint skips the
+// store and the write-back when the slot already holds the value (see
+// slotCache).
 type Counter struct {
 	dev *nvm.Device
 	off int64
+
+	cache slotCache[uint64]
 }
 
 // NewCounter returns counter i.
@@ -512,11 +518,40 @@ func (c *Counter) Load(epoch uint64) uint64 {
 	return c.dev.Load64(c.off + int64(epoch%2)*8)
 }
 
-// Store writes the counter value into epoch's parity slot without
-// persisting; the epoch checkpoint sequence flushes the counter region.
-func (c *Counter) Store(v uint64, epoch uint64) {
+// Checkpoint stores v into epoch's parity slot and flushes it, or does
+// nothing when this Counter already stored v into that slot at an earlier
+// checkpoint. The caller's fence makes the write durable.
+func (c *Counter) Checkpoint(v uint64, epoch uint64) {
+	if c.cache.holds(epoch, v) {
+		return
+	}
 	c.dev.Store64(c.off+int64(epoch%2)*8, v)
+	c.dev.Flush(c.off, counterStride)
+	c.cache.put(epoch, v)
 }
 
-// Flush persists the counter's parity pair.
-func (c *Counter) Flush() { c.dev.Flush(c.off, counterStride) }
+// slotCache remembers, per parity, the value this process last stored into
+// a dual-parity checkpoint slot, so a checkpoint whose value did not change
+// skips the store and the line write-back. The skip is crash-safe because
+// of the parity discipline: the slot was written (and fenced) by the
+// checkpoint of epoch-2 or earlier, nothing has written it since, and
+// recovery after a crash of epoch e reads slot (e-1)%2, never the one e
+// would have rewritten. The zero value is invalid for both parities, so
+// the first two checkpoints of a freshly opened or recovered process write
+// everything.
+type slotCache[T comparable] struct {
+	val   [2]T
+	valid [2]bool
+}
+
+// holds reports whether epoch's parity slot already holds v.
+func (c *slotCache[T]) holds(epoch uint64, v T) bool {
+	p := epoch % 2
+	return c.valid[p] && c.val[p] == v
+}
+
+// put records that v was stored into epoch's parity slot.
+func (c *slotCache[T]) put(epoch uint64, v T) {
+	p := epoch % 2
+	c.val[p], c.valid[p] = v, true
+}

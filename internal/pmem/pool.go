@@ -108,7 +108,15 @@ type Pool struct {
 
 	// Ring-flush bookkeeping: appends since the last flush.
 	flushFrom int64
+
+	// ctlCache holds the control values last stored per parity, so an
+	// unchanged pool skips its control-line write-back (see slotCache).
+	// Recover resets it.
+	ctlCache slotCache[ctlVals]
 }
+
+// ctlVals is one parity's control slot: bump offset, free-list head, tail.
+type ctlVals struct{ bump, head, tail int64 }
 
 // RowPool returns core c's persistent row pool.
 func RowPool(dev *nvm.Device, l Layout, c int) *Pool {
@@ -220,19 +228,27 @@ func (p *Pool) FlushRing() {
 }
 
 // Checkpoint writes the DRAM bump/head/tail into the parity slots for the
-// given epoch and flushes the ring and control line. The caller issues the
-// fence (one fence covers all pools), then calls Checkpointed. Under a
-// pipelined commit the committer must call Checkpoint before the owner core
-// enters the next epoch's init phase for this pool (the engine's per-pool
-// staging token), so the values read here are still end-of-epoch values.
+// given epoch and flushes the ring and control line. The control line is
+// left alone when the slots already hold these values from an earlier
+// checkpoint of this Pool (a pool that neither allocated nor freed). The
+// caller issues the fence (one fence covers all pools), then calls
+// Checkpointed. Under a pipelined commit the committer must call
+// Checkpoint before the owner core enters the next epoch's init phase for
+// this pool (the engine's per-pool staging token), so the values read
+// here are still end-of-epoch values.
 func (p *Pool) Checkpoint(epoch uint64) {
 	p.FlushRing()
+	p.stagedHead, p.stagedTail = p.head, p.tail
+	v := ctlVals{p.bump, p.head, p.tail}
+	if p.ctlCache.holds(epoch, v) {
+		return
+	}
 	par := int64(epoch % 2)
 	p.dev.Store64(p.ctlOff+ctlBump0+par*8, uint64(p.bump))
 	p.dev.Store64(p.ctlOff+ctlHead0+par*8, uint64(p.head))
 	p.dev.Store64(p.ctlOff+ctlTail0+par*8, uint64(p.tail))
 	p.dev.Flush(p.ctlOff, line)
-	p.stagedHead, p.stagedTail = p.head, p.tail
+	p.ctlCache.put(epoch, v)
 }
 
 // Checkpointed commits the checkpoint barriers after the caller's fence
@@ -298,6 +314,7 @@ func (p *Pool) Recover(ckptEpoch uint64, adoptGC bool) []int64 {
 	// epoch is replayed.
 	p.tailCkpt.Store(ckptTail)
 	p.flushFrom = p.tail
+	p.ctlCache = slotCache[ctlVals]{}
 	return gcFrees
 }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -413,8 +414,7 @@ func TestEpochRecord(t *testing.T) {
 func TestCounters(t *testing.T) {
 	l, dev := testLayout(t)
 	c := NewCounter(dev, l, 2)
-	c.Store(123, 1)
-	c.Flush()
+	c.Checkpoint(123, 1)
 	dev.Fence()
 	dev.Crash(nvm.CrashStrict, 1)
 	if got := NewCounter(dev, l, 2).Load(1); got != 123 {
@@ -422,8 +422,7 @@ func TestCounters(t *testing.T) {
 	}
 	// The parity slots are independent: epoch 2's checkpoint must not
 	// clobber the value recovery reads when epoch 2 doesn't commit.
-	c.Store(456, 2)
-	c.Flush()
+	c.Checkpoint(456, 2)
 	if got := c.Load(1); got != 123 {
 		t.Fatalf("epoch-1 slot = %d after epoch-2 store, want 123", got)
 	}
@@ -532,4 +531,137 @@ func TestQuickCrashRecoverMatchesModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUnchangedSlotSkipCrashSafe pins the changed-only checkpoint writes:
+// a counter and a pool that stay unchanged across both parities write
+// nothing back, and when one of them then changes, a crash at every flush
+// of the next two checkpoints (and between their fence and epoch record),
+// in every crash mode, recovers the exact values of the last committed
+// epoch.
+func TestUnchangedSlotSkipCrashSafe(t *testing.T) {
+	type state struct {
+		ctr              uint64
+		bump, head, tail int64
+	}
+	const lastEpoch = 6
+	l, _ := testLayout(t)
+	for _, variant := range []string{"counter-changes", "pool-changes"} {
+		// scenario replays epochs 1..lastEpoch on a fresh device and stops
+		// in crashEpoch: at the injected crash when failAfter>0 fires
+		// inside its checkpoint, after its fence (before its epoch record)
+		// when stopBefore is set, and after its commit otherwise. It
+		// returns the device, the committed state of every epoch, and the
+		// lines crashEpoch's checkpoint wrote back.
+		scenario := func(t *testing.T, crashEpoch uint64, failAfter int64, stopBefore bool) (*nvm.Device, []state, int64) {
+			_, dev := testLayout(t)
+			rec := NewEpochRecord(dev, l)
+			p := RowPool(dev, l, 0)
+			c := NewCounter(dev, l, 1)
+			ctr := uint64(7)
+			states := []state{{}}
+			var ckptFlushes int64
+			for e := uint64(1); e <= lastEpoch; e++ {
+				switch {
+				case e == 1:
+					for i := 0; i < 3; i++ {
+						if _, err := p.Alloc(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case e == 5 && variant == "counter-changes":
+					ctr++
+				case e == 5:
+					off, err := p.Alloc()
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.Free(off)
+				}
+				before := dev.Stats().Flushes
+				if e == crashEpoch && failAfter > 0 {
+					dev.SetFailAfter(failAfter)
+				}
+				fired := catchInjected(func() {
+					c.Checkpoint(ctr, e)
+					p.Checkpoint(e)
+				})
+				dev.SetFailAfter(0)
+				if e == crashEpoch {
+					ckptFlushes = dev.Stats().Flushes - before
+				}
+				if (e == 3 || e == 4) && dev.Stats().Flushes != before {
+					t.Fatalf("epoch %d: unchanged checkpoint flushed %d lines", e, dev.Stats().Flushes-before)
+				}
+				if fired {
+					return dev, states, ckptFlushes
+				}
+				dev.Fence()
+				if e == crashEpoch && stopBefore {
+					return dev, states, ckptFlushes
+				}
+				rec.Store(e)
+				p.Checkpointed()
+				states = append(states, state{ctr, p.Bump(), p.head, p.tail})
+				if e == crashEpoch {
+					return dev, states, ckptFlushes
+				}
+			}
+			return dev, states, ckptFlushes
+		}
+		check := func(t *testing.T, dev *nvm.Device, states []state, what string) {
+			ckpt := NewEpochRecord(dev, l).Load()
+			if int(ckpt) != len(states)-1 {
+				t.Fatalf("%s: recovered checkpoint %d, want %d", what, ckpt, len(states)-1)
+			}
+			p := RowPool(dev, l, 0)
+			p.Recover(ckpt, false)
+			got := state{NewCounter(dev, l, 1).Load(ckpt), p.Bump(), p.head, p.tail}
+			if want := states[ckpt]; got != want {
+				t.Fatalf("%s: recovered %+v, want epoch %d's %+v", what, got, ckpt, want)
+			}
+		}
+		t.Run(variant, func(t *testing.T) {
+			for _, ce := range []uint64{5, 6} {
+				// The crash-free run of the checkpoint sizes the sweep.
+				_, _, n := scenario(t, ce, 0, true)
+				if n == 0 {
+					t.Fatalf("epoch %d's checkpoint wrote nothing back", ce)
+				}
+				for _, mode := range []nvm.CrashMode{nvm.CrashStrict, nvm.CrashRandom, nvm.CrashAll} {
+					for seed := int64(0); seed < 3; seed++ {
+						if mode != nvm.CrashRandom && seed > 0 {
+							continue
+						}
+						// Fail at every flush, then crash after the fence
+						// but before the epoch record; neither commits ce.
+						for k := int64(1); k <= n+1; k++ {
+							dev, states, _ := scenario(t, ce, k, k > n)
+							dev.Crash(mode, seed)
+							check(t, dev, states, fmt.Sprintf("epoch %d mode %d seed %d point %d", ce, mode, seed, k))
+						}
+						// The committed checkpoint recovers its own values.
+						dev, states, _ := scenario(t, ce, 0, false)
+						dev.Crash(mode, seed)
+						check(t, dev, states, fmt.Sprintf("epoch %d mode %d seed %d committed", ce, mode, seed))
+					}
+				}
+			}
+		})
+	}
+}
+
+// catchInjected runs f and reports whether it panicked with an injected
+// device crash.
+func catchInjected(f func()) (fired bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != nvm.ErrInjectedCrash {
+				panic(r)
+			}
+			fired = true
+		}
+	}()
+	f()
+	return false
 }

@@ -4,16 +4,21 @@
 // RunEpochAria) take a hand-assembled batch and are not safe for concurrent
 // calls. This package turns that single-threaded epoch loop into a serving
 // layer: any number of client goroutines call Submit/SubmitAria and receive
-// a Future; a batch former groups submissions into epochs, closing a batch
-// when it reaches the configured size cap or a max-latency deadline; a
-// runner executes the batches through the unchanged RunEpoch/RunEpochAria
-// path. Futures resolve once their epoch is durable — the natural fit for
-// the paper's design, which amortizes NVMM persistence (log write, fence,
+// a Future; a batch former groups submissions into epochs; a runner
+// executes the batches through the unchanged RunEpoch/RunEpochAria path.
+// Futures resolve once their epoch is durable — the natural fit for the
+// paper's design, which amortizes NVMM persistence (log write, fence,
 // epoch record) over the whole batch.
 //
-// The former and runner are pipelined: while epoch N executes, the former
-// accumulates epoch N+1, so submission latency hides behind epoch
-// execution. Caracal-style and Aria transactions may be submitted
+// The former dispatches as soon as no epoch is outstanding (idle
+// dispatch), after taking in whatever is already queued: an idle engine
+// gains nothing from waiting, and since checkpoints write back only the
+// metadata that changed, a small epoch's fixed persistence cost is little
+// more than its log append and fences. While epoch N executes, the former
+// accumulates epoch N+1 and closes it when N completes, when it reaches
+// the size cap, or at the MaxDelay deadline, so batch size follows the
+// load that arrives during one epoch and submission latency hides behind
+// epoch execution. Caracal-style and Aria transactions may be submitted
 // concurrently; since an epoch holds one flavour, the former splits batches
 // at flavour boundaries. Aria conflict losers (AriaResult.Deferred) are
 // resubmitted automatically into the next Aria batch — their futures
@@ -76,9 +81,11 @@ type Config struct {
 	// conflict losers included). Default 512; clamped to
 	// core.MaxTxnsPerEpoch.
 	MaxBatch int
-	// MaxDelay closes a non-full batch this long after its first
-	// transaction arrived, bounding commit latency under light load.
-	// Default 2ms.
+	// MaxDelay bounds how long a batch forms while an epoch is in
+	// flight: the batch closes this long after its first transaction
+	// arrived even if the running epoch has not completed (it then waits
+	// for the runner, one batch ahead). It never delays work on an idle
+	// engine, which takes the forming batch at once. Default 2ms.
 	MaxDelay time.Duration
 	// QueueDepth bounds the submission queue between clients and the batch
 	// former. Default 4*MaxBatch.
@@ -302,8 +309,9 @@ func (s *Submitter) setFailure(err error) {
 }
 
 // formLoop is the batch former: it groups queued submissions into
-// single-flavour batches bounded by MaxBatch and MaxDelay, folds Aria redo
-// backlogs in ahead of new work, and hands batches to the runner.
+// single-flavour batches, dispatched when the runner is idle or bounded by
+// MaxBatch and MaxDelay while it is busy, folds Aria redo backlogs in
+// ahead of new work, and hands batches to the runner.
 func (s *Submitter) formLoop() {
 	var (
 		cur         []pending // forming batch, all one flavour
@@ -393,8 +401,40 @@ func (s *Submitter) formLoop() {
 		}
 	}
 
+	// add appends one submission to the forming batch, splitting at flavour
+	// boundaries and dispatching a full batch.
+	add := func(p pending) {
+		isAria := p.aria != nil
+		if len(cur) > 0 && isAria != curAria {
+			dispatch()
+		}
+		if len(cur) == 0 {
+			curAria = isAria
+			armTimer()
+		}
+		cur = append(cur, p)
+		if len(cur) >= s.cfg.MaxBatch {
+			dispatch()
+		}
+	}
+	// dispatchIfIdle closes the forming batch when no epoch is outstanding:
+	// waiting for more submissions would only add latency, since nothing
+	// else is using the engine. It first takes in whatever is already
+	// queued, up to MaxBatch. Only the former receives from the queue, so
+	// the len snapshot never over-reads, and a closed queue still yields
+	// its buffered entries.
+	dispatchIfIdle := func() {
+		for n := len(s.queue); n > 0 && outstanding == 0 && len(cur) < s.cfg.MaxBatch; n-- {
+			add(<-s.queue)
+		}
+		if outstanding == 0 {
+			dispatch()
+		}
+	}
+
 	for {
 		foldRedo()
+		dispatchIfIdle()
 		select {
 		case p, ok := <-s.queue:
 			if !ok {
@@ -412,18 +452,7 @@ func (s *Submitter) formLoop() {
 				close(s.runq)
 				return
 			}
-			isAria := p.aria != nil
-			if len(cur) > 0 && isAria != curAria {
-				dispatch()
-			}
-			if len(cur) == 0 {
-				curAria = isAria
-				armTimer()
-			}
-			cur = append(cur, p)
-			if len(cur) >= s.cfg.MaxBatch {
-				dispatch()
-			}
+			add(p)
 		case <-timerC:
 			timerC = nil
 			dispatch()

@@ -12,6 +12,7 @@ import (
 
 	"nvcaracal"
 	"nvcaracal/internal/crashcheck/kit"
+	"nvcaracal/internal/submit"
 )
 
 // The KV builders and their replay registry come from the shared crash-test
@@ -371,15 +372,59 @@ func TestBlockBackpressure(t *testing.T) {
 	}
 }
 
+// holdEpoch submits a transaction whose execution blocks until release is
+// called, and returns once that epoch is executing: the runner is busy, so
+// the former has to form the next batch behind it.
+func holdEpoch(t *testing.T, s *nvcaracal.Submitter, k uint64) (release func(), f *nvcaracal.Future) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	f, err := s.Submit(&nvcaracal.Txn{
+		TypeID: kit.TypeInsert,
+		Input:  encKV(k, []byte("held")),
+		Ops:    []nvcaracal.Op{{Table: tblKV, Key: k, Kind: nvcaracal.OpInsert}},
+		Exec: func(ctx *nvcaracal.Ctx) {
+			close(entered)
+			<-gate
+			ctx.Insert(tblKV, k, []byte("held"))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		close(gate) // let Close drain the batch instead of hanging on it
+		t.Fatal("held epoch never started executing")
+	}
+	return func() { close(gate) }, f
+}
+
+// waitSealed blocks until the former has handed a batch to the held runner.
+// On failure it releases the held epoch first, so Close can still drain.
+func waitSealed(t *testing.T, s *nvcaracal.Submitter, release func(), what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); submit.SealedWaiting(s) == 0; {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("%s never sealed a batch while the runner was busy", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestCloseSemantics: Close drains queued work, later submissions fail with
-// ErrSubmitterClosed, and Close is idempotent.
+// ErrSubmitterClosed, and Close is idempotent. The runner is held in an
+// epoch while the partial batch forms and Close is called, so neither an
+// idle runner nor the (hour-long) deadline can close the batch: Close
+// itself must flush it.
 func TestCloseSemantics(t *testing.T) {
 	db, _ := openTestDB(t)
 	s := nvcaracal.NewSubmitter(db, nvcaracal.SubmitterConfig{
-		MaxBatch: 4,
-		// A long deadline: Close itself must flush the partial batch.
+		MaxBatch: 64,
 		MaxDelay: time.Hour,
 	})
+	release, held := holdEpoch(t, s, 1000)
 	var futs []*nvcaracal.Future
 	for i := 0; i < 10; i++ {
 		f, err := s.Submit(mkInsert(uint64(i), []byte("v")))
@@ -388,12 +433,21 @@ func TestCloseSemantics(t *testing.T) {
 		}
 		futs = append(futs, f)
 	}
-	if err := s.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitSealed(t, s, release, "Close")
+	release()
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
+	heldEpoch := held.Wait().Epoch
 	for i, f := range futs {
-		if r := f.Wait(); r.Err != nil || !r.Committed {
+		r := f.Wait()
+		if r.Err != nil || !r.Committed {
 			t.Fatalf("txn %d after Close: %+v", i, r)
+		}
+		if r.Epoch != heldEpoch+1 {
+			t.Fatalf("txn %d in epoch %d, want the single flushed epoch %d", i, r.Epoch, heldEpoch+1)
 		}
 	}
 	if _, err := s.Submit(mkInsert(99, []byte("late"))); !errors.Is(err, nvcaracal.ErrSubmitterClosed) {
@@ -404,13 +458,35 @@ func TestCloseSemantics(t *testing.T) {
 	}
 }
 
-// TestMaxDelayFlushesPartialBatch: a single submission must not wait for a
-// full batch; the deadline closes the epoch.
+// TestMaxDelayFlushesPartialBatch: while an epoch is in flight, a single
+// submission must not wait for a full batch or for the runner; the
+// deadline closes its batch.
 func TestMaxDelayFlushesPartialBatch(t *testing.T) {
 	db, _ := openTestDB(t)
 	s := nvcaracal.NewSubmitter(db, nvcaracal.SubmitterConfig{
 		MaxBatch: 1 << 20, // never reached
 		MaxDelay: time.Millisecond,
+	})
+	defer s.Close()
+	release, held := holdEpoch(t, s, 1000)
+	f, err := s.Submit(mkInsert(1, []byte("solo")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSealed(t, s, release, "the MaxDelay deadline")
+	release()
+	if r := f.Wait(); r.Err != nil || !r.Committed || r.Epoch != held.Wait().Epoch+1 {
+		t.Fatalf("solo txn: %+v", r)
+	}
+}
+
+// TestIdleDispatchResolvesSoloSubmit: with nothing in flight, a lone
+// submission is dispatched at once; it does not wait out MaxDelay.
+func TestIdleDispatchResolvesSoloSubmit(t *testing.T) {
+	db, _ := openTestDB(t)
+	s := nvcaracal.NewSubmitter(db, nvcaracal.SubmitterConfig{
+		MaxBatch: 1 << 20,
+		MaxDelay: time.Hour,
 	})
 	defer s.Close()
 	f, err := s.Submit(mkInsert(1, []byte("solo")))
@@ -420,10 +496,48 @@ func TestMaxDelayFlushesPartialBatch(t *testing.T) {
 	select {
 	case <-f.Done():
 	case <-time.After(5 * time.Second):
-		t.Fatal("future did not resolve; deadline flush broken")
+		t.Fatal("solo submission on an idle engine did not resolve; idle dispatch broken")
 	}
 	if r := f.Wait(); r.Err != nil || !r.Committed {
 		t.Fatalf("solo txn: %+v", r)
+	}
+}
+
+// TestSubmissionsBehindHeldEpochShareOneEpoch: everything submitted while
+// an epoch is in flight lands in the single next epoch, dispatched when
+// the held epoch completes (MaxDelay is an hour and MaxBatch is not
+// reached, so completion is the only trigger).
+func TestSubmissionsBehindHeldEpochShareOneEpoch(t *testing.T) {
+	db, _ := openTestDB(t)
+	s := nvcaracal.NewSubmitter(db, nvcaracal.SubmitterConfig{
+		MaxBatch: 64,
+		MaxDelay: time.Hour,
+	})
+	defer s.Close()
+	release, held := holdEpoch(t, s, 1000)
+	var futs []*nvcaracal.Future
+	for i := 0; i < 20; i++ {
+		f, err := s.Submit(mkInsert(uint64(i), []byte("v")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, f)
+	}
+	if n := submit.SealedWaiting(s); n != 0 {
+		t.Fatalf("%d batch(es) sealed behind the held epoch; want the batch still forming", n)
+	}
+	release()
+	want := held.Wait().Epoch + 1
+	for i, f := range futs {
+		select {
+		case <-f.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("txn %d never resolved after the held epoch completed", i)
+		}
+		r := f.Wait()
+		if r.Err != nil || !r.Committed || r.Epoch != want {
+			t.Fatalf("txn %d: %+v, want committed in epoch %d", i, r, want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ type (
 	// Submitter batches concurrent Submit/SubmitAria calls into epochs and
 	// resolves each submission's future once its epoch is durable.
 	Submitter = submit.Submitter
-	// SubmitterConfig tunes the batch former (size cap, max-latency
+	// SubmitterConfig tunes the batch former (size cap, in-flight
 	// deadline, queue depth, overload policy).
 	SubmitterConfig = submit.Config
 	// Future resolves to a SubmitResult when the submission's epoch is
